@@ -18,9 +18,9 @@ import pytest
 from repro.media.lipsync import skew_summary
 from repro.metrics.table import Table
 from repro.orchestration.opdu import ControlOPDU
+from repro.scenarios.film import FilmScenario, film_testbed
 
 from benchmarks.common import emit, once
-from benchmarks.scenarios import FilmScenario, film_testbed
 
 PLAY_SECONDS = 30.0
 

@@ -27,10 +27,10 @@ from repro.orchestration.hlo import (
 )
 from repro.orchestration.hlo_agent import HLOAgent
 from repro.orchestration.policy import OrchestrationPolicy
+from repro.scenarios.film import FilmScenario, film_testbed
 from repro.sim.scheduler import Timeout
 
 from benchmarks.common import emit, once
-from benchmarks.scenarios import FilmScenario, film_testbed
 
 
 def selection_stats(trials: int = 500):

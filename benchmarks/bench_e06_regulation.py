@@ -18,9 +18,9 @@ from repro.media.lipsync import (
     skew_summary,
 )
 from repro.metrics.table import Table
+from repro.scenarios.film import run_film
 
 from benchmarks.common import emit, once
-from benchmarks.scenarios import run_film
 
 PLAY_SECONDS = 60.0
 

@@ -20,11 +20,11 @@ from repro.media.source import StoredMediaSource
 from repro.metrics.table import Table
 from repro.orchestration.hlo_agent import HLOAgent, StreamSpec
 from repro.orchestration.policy import CompensationAction, OrchestrationPolicy
+from repro.scenarios.film import film_testbed
 from repro.sim.scheduler import Timeout
 from repro.transport.addresses import TransportAddress
 
 from benchmarks.common import emit, once
-from benchmarks.scenarios import film_testbed
 
 INTERVAL = 0.25
 FAULT_DELAY = 0.08  # 12.5 units/s against a 25 fps target

@@ -26,11 +26,11 @@ from repro.metrics.stats import summarize
 from repro.metrics.table import Table
 from repro.orchestration.hlo_agent import HLOAgent, StreamSpec
 from repro.orchestration.policy import OrchestrationPolicy
+from repro.scenarios.film import film_testbed
 from repro.sim.scheduler import Timeout
 from repro.transport.addresses import TransportAddress
 
 from benchmarks.common import emit, once
-from benchmarks.scenarios import film_testbed
 
 MARK = 0xE7
 MARKED_FRAMES = list(range(20, 500, 40))

@@ -31,6 +31,7 @@ from repro.metrics.table import Table
 from repro.netsim.reservation import ReservationManager
 from repro.netsim.topology import Network
 from repro.obs.audit import install_audit, merge_snapshots
+from repro.scenarios.film import FilmScenario, film_testbed
 from repro.sim.random import RandomStreams
 from repro.sim.scheduler import Simulator
 from repro.transport.addresses import TransportAddress
@@ -46,7 +47,6 @@ from repro.transport.qos import QoSSpec
 from repro.transport.service import build_transport, connect_pair
 
 from benchmarks.common import collect_metrics, emit, emit_json, once
-from benchmarks.scenarios import FilmScenario, film_testbed
 
 #: Sink sample period: outage detection granularity (Part 1).
 SAMPLE_PERIOD = 0.25

@@ -112,9 +112,6 @@ class Runtime:
         """Advance the simulation by ``duration`` seconds."""
         return self.sim.run(until=self.sim.now + duration)
 
-    def run_until(self, when: float) -> float:
-        return self.sim.run(until=when)
-
     def spawn(self, gen, name: Optional[str] = None) -> Process:
         return self.sim.spawn(gen, name=name)
 
@@ -206,20 +203,6 @@ class Runtime:
         profiler = WallProfiler(max_events=max_events)
         self.sim.profile = profiler
         return profiler
-
-    def disable_profiling(self) -> None:
-        """Detach the profiler (takes effect on the next ``run`` call)."""
-        self.sim.profile = None
-
-    def export_profile(self, path: str) -> str:
-        """Write the collected profile document as JSON."""
-        profiler = self.sim.profile
-        if profiler is None:
-            raise RuntimeError(
-                "profiling is not enabled; call enable_profiling() "
-                "before export"
-            )
-        return profiler.export(path)
 
     # -- fault injection ---------------------------------------------------
 

@@ -213,13 +213,6 @@ class LinkStats:
             setattr(self, "_" + field, metrics.counter(f"{scope}.{field}"))
         self._total_queue_delay = metrics.gauge(f"{scope}.total_queue_delay")
 
-    @property
-    def loss_fraction(self) -> float:
-        """Fraction of sent packets lost or dropped at the buffer."""
-        if self.sent_packets == 0:
-            return 0.0
-        return (self.lost_packets + self.buffer_drops) / self.sent_packets
-
 
 def _stats_view(field: str):
     """Build a property forwarding a LinkStats attribute to its counter."""

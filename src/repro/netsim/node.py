@@ -156,10 +156,6 @@ class Host(Node):
             raise ValueError(f"handler for {key!r} already registered on {self.name}")
         self._handlers[key] = handler
 
-    def unregister_handler(self, key: str) -> None:
-        """Detach the protocol entity registered under ``key``, if any."""
-        self._handlers.pop(key, None)
-
     def receive(self, packet: Packet) -> None:
         """Dispatch a delivered packet to the handler for its payload kind."""
         if packet.group_targets is not None and (

@@ -226,13 +226,13 @@ class QoSAuditor:
         self.max_timeline = max_timeline
         self._connections: Dict[str, _ConnectionAudit] = {}
         self._groups: Dict[str, _GroupAudit] = {}
-        #: Insertion-ordered "sets" of ids touched since the last drain
-        #: by a streaming :class:`repro.obs.stream.DeltaEncoder`.  One
-        #: dict store per recording call; nothing reads them unless a
-        #: delta encoder is attached, and untouched connections cost
-        #: nothing per barrier.
-        self._dirty_connections: Dict[str, None] = {}
-        self._dirty_groups: Dict[str, None] = {}
+        #: Running tally behind :meth:`rolling`, kept in step by the
+        #: record methods so a live summary never walks the records.
+        self._counts = {"met": 0, "degraded": 0, "violated": 0, "idle": 0}
+        self._first_breach: Optional[float] = None
+        self._over_bound = 0
+        self._renegotiations = 0
+        self._releases = 0
         self.delay_hist = FixedBucketHistogram(lo=1e-5, hi=10.0, buckets=128)
         self.jitter_hist = FixedBucketHistogram(lo=1e-6, hi=1.0, buckets=128)
         self._sections: Dict[str, Any] = {}
@@ -260,7 +260,6 @@ class QoSAuditor:
             self._connections[key] = _ConnectionAudit(
                 key, self.sim.now, contract, src, dst, sample_period,
             )
-            self._dirty_connections[key] = None
 
     def _connection(self, vc_id) -> _ConnectionAudit:
         key = str(vc_id)
@@ -272,7 +271,6 @@ class QoSAuditor:
             conn = self._connections[key] = _ConnectionAudit(
                 key, self.sim.now, None, None, None, None,
             )
-            self._dirty_connections[key] = None
             return conn
 
     def record_period(self, vc_id, contract, measurement,
@@ -282,7 +280,6 @@ class QoSAuditor:
         if prof is not None:
             _t0 = prof.clock()
         conn = self._connection(vc_id)
-        self._dirty_connections[conn.vc_id] = None
         if conn.contract is None:
             conn.contract = contract
         observed = measurement.as_dict()
@@ -295,6 +292,7 @@ class QoSAuditor:
         else:
             verdict = "met"
         conn.counts[verdict] += 1
+        self._counts[verdict] += 1
         entry: Dict[str, Any] = {
             "t0": measurement.period_start,
             "t1": measurement.period_end,
@@ -316,7 +314,9 @@ class QoSAuditor:
                 for v in violations
             ]
             if conn.first_violation_at is None:
-                conn.first_violation_at = measurement.period_end
+                at = conn.first_violation_at = measurement.period_end
+                if self._first_breach is None or at < self._first_breach:
+                    self._first_breach = at
             self._drilldown(conn, entry)
         elif verdict == "degraded":
             entry["degraded"] = _degradations(contract, measurement)
@@ -351,7 +351,7 @@ class QoSAuditor:
                              to_bps=None, reason=None) -> None:
         """File a T-Renegotiate outcome (confirmed / rejected / failed)."""
         conn = self._connection(vc_id)
-        self._dirty_connections[conn.vc_id] = None
+        self._renegotiations += 1
         conn.renegotiations.append({
             "at": self.sim.now,
             "outcome": outcome,
@@ -363,7 +363,8 @@ class QoSAuditor:
     def record_release(self, vc_id, reason, initiator=None) -> None:
         """File the VC's release (e.g. ``qos-outage`` past grace)."""
         conn = self._connection(vc_id)
-        self._dirty_connections[conn.vc_id] = None
+        if conn.released is None:
+            self._releases += 1
         conn.released = {
             "at": self.sim.now,
             "reason": reason,
@@ -380,7 +381,6 @@ class QoSAuditor:
             self._groups[key] = _GroupAudit(
                 key, self.sim.now, bound, list(streams), interval_length,
             )
-            self._dirty_groups[key] = None
 
     def _group(self, session_id) -> _GroupAudit:
         key = str(session_id)
@@ -390,37 +390,55 @@ class QoSAuditor:
             group = self._groups[key] = _GroupAudit(
                 key, self.sim.now, float("inf"), [], None,
             )
-            self._dirty_groups[key] = None
             return group
 
     def record_skew(self, session_id, skew: float) -> None:
         """File one regulation interval's group skew observation."""
         group = self._group(session_id)
-        self._dirty_groups[group.session_id] = None
         group.skew_hist.record(skew)
         if skew > group.bound:
             group.over_bound += 1
+            self._over_bound += 1
 
     def record_group_outage(self, session_id, vc_id) -> None:
         group = self._group(session_id)
-        self._dirty_groups[group.session_id] = None
         group.outages.append({"at": self.sim.now, "vc": str(vc_id)})
 
     def record_group_recovery(self, session_id, vc_id) -> None:
         group = self._group(session_id)
-        self._dirty_groups[group.session_id] = None
         group.recoveries.append({"at": self.sim.now, "vc": str(vc_id)})
 
     def record_regulation_drop(self, session_id, vc_id,
                                count: int = 1) -> None:
         """File OSDUs dropped by LLO regulation for one stream."""
         group = self._group(session_id)
-        self._dirty_groups[group.session_id] = None
         drops = group.regulation_drops
         key = str(vc_id)
         drops[key] = drops.get(key, 0) + count
 
     # -- export ------------------------------------------------------------
+
+    def rolling(self) -> Dict[str, Any]:
+        """O(1) summary of the run so far, for live SLO telemetry.
+
+        The same figures :meth:`snapshot`'s summary and records give
+        (verdict counts, connections, earliest first violation, skew
+        intervals over bound, renegotiations, releases), read from the
+        running tally instead of the records.
+        """
+        counts = self._counts
+        judged = counts["met"] + counts["degraded"] + counts["violated"]
+        return {
+            "t": self.sim.now,
+            "connections": len(self._connections),
+            "periods": sum(counts.values()),
+            "counts": dict(counts),
+            "conformance": counts["met"] / judged if judged else None,
+            "first_breach_at": self._first_breach,
+            "skew_over_bound": self._over_bound,
+            "renegotiations": self._renegotiations,
+            "releases": self._releases,
+        }
 
     def snapshot(self) -> Dict[str, Any]:
         """The full audit as a plain JSON-serialisable dict."""
@@ -585,7 +603,6 @@ def _iter_array(name: str, items, count: int):
 def merge_snapshots(
     snapshots: List[Dict[str, Any]],
     labels: Optional[List[str]] = None,
-    namespace: bool = False,
 ) -> Dict[str, Any]:
     """Fold several audit snapshots into one document.
 
@@ -597,13 +614,8 @@ def merge_snapshots(
     Identity rule: VC and session ids must be disjoint across the
     inputs.  Sharded fleets guarantee this structurally (host names --
     and therefore vc ids -- are namespaced per shard at build time), so
-    they merge with ``namespace=False`` and ids survive unchanged,
-    keeping merged conformance comparable to an unsharded baseline.
-    When the inputs *reuse* an id space (e.g. several independent runs
-    of one scenario), pass ``namespace=True`` with per-snapshot
-    ``labels``: every connection's ``vc`` and group's ``session`` gains
-    a ``"<label>/"`` prefix.  Namespacing is shallow -- ids quoted
-    inside drill-downs or timelines keep their original spelling.
+    ids survive the merge unchanged, keeping merged conformance
+    comparable to an unsharded baseline.
 
     With ``labels`` given (or more than one snapshot), the merged
     document records its provenance under ``merged_from``; the report
@@ -613,27 +625,14 @@ def merge_snapshots(
         raise ValueError(
             f"got {len(labels)} labels for {len(snapshots)} snapshots"
         )
-    if namespace and labels is None:
-        raise ValueError("namespace=True requires labels")
     connections: List[Dict[str, Any]] = []
     groups: List[Dict[str, Any]] = []
     hists: Dict[str, FixedBucketHistogram] = {}
     sections: Dict[str, List[Any]] = {}
     now = 0.0
-    for index, snap in enumerate(snapshots):
-        if namespace:
-            prefix = f"{labels[index]}/"
-            connections.extend(
-                {**conn, "vc": prefix + str(conn.get("vc"))}
-                for conn in snap.get("connections", ())
-            )
-            groups.extend(
-                {**group, "session": prefix + str(group.get("session"))}
-                for group in snap.get("groups", ())
-            )
-        else:
-            connections.extend(snap.get("connections", ()))
-            groups.extend(snap.get("groups", ()))
+    for snap in snapshots:
+        connections.extend(snap.get("connections", ()))
+        groups.extend(snap.get("groups", ()))
         now = max(now, snap.get("now", 0.0))
         for name, value in snap.get("sections", {}).items():
             sections.setdefault(name, []).append(value)
@@ -667,7 +666,6 @@ def merge_snapshots(
         merged["merged_from"] = {
             "snapshots": len(snapshots),
             "labels": list(labels) if labels is not None else None,
-            "namespaced": bool(namespace),
         }
     if sections:
         # Per-shard section values are preserved as a list per name;

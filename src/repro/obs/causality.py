@@ -68,10 +68,6 @@ class ChainIndex:
 
     # -- raw lookups -------------------------------------------------------
 
-    def events_for_packet(self, packet_id: int) -> List[Dict[str, Any]]:
-        """Every indexed event mentioning ``packet_id``, in time order."""
-        return list(self._by_packet.get(packet_id, ()))
-
     def packet_fate(self, packet_id: int) -> Dict[str, Any]:
         """Summarise one packet's life: sent / delivered / lost where."""
         fate: Dict[str, Any] = {

@@ -1,8 +1,11 @@
-"""Live SLO watcher over streamed soak telemetry.
+"""Live SLO telemetry: the JSON-lines sink and its watcher CLI.
 
 ``repro.soak``/``repro.scenarios`` runs started with ``--live <path>``
-append one JSON line per synchronization barrier (the folder's rolling
-summary) plus a ``final`` record.  This CLI consumes that stream::
+append, through :class:`LiveWriter`, one JSON line per synchronization
+barrier of a sharded run (:func:`window_record`: the shards' running
+audit tallies, see :meth:`repro.obs.audit.QoSAuditor.rolling`, summed)
+plus a ``final`` record from the merged audit.  This CLI consumes that
+stream::
 
     # watch a run as it happens (Ctrl-C to stop)
     python -m repro.obs.live tail soak.jsonl --follow
@@ -26,9 +29,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
 
 from repro.obs.slo import (
     SLO,
@@ -38,7 +42,75 @@ from repro.obs.slo import (
     render_statuses,
 )
 
-__all__ = ["main", "iter_records"]
+__all__ = [
+    "LiveWriter",
+    "iter_records",
+    "main",
+    "open_live_sink",
+    "window_record",
+]
+
+
+class LiveWriter:
+    """Append records as flushed JSON lines to a sink.
+
+    Flushing each line lets ``tail -f`` and
+    ``python -m repro.obs.live tail --follow`` see a record the moment
+    it is written.
+    """
+
+    def __init__(self, sink: TextIO):
+        self.sink = sink
+
+    def write(self, record: Dict[str, Any]) -> None:
+        self.sink.write(json.dumps(record, separators=(",", ":")) + "\n")
+        self.sink.flush()
+
+
+def open_live_sink(spec: str) -> Tuple[TextIO, bool]:
+    """Resolve a ``--live`` argument to ``(sink, caller_should_close)``.
+
+    ``"-"`` is stdout, a bare integer is an inherited file descriptor,
+    anything else a path opened for writing.
+    """
+    if spec == "-":
+        return sys.stdout, False
+    if spec.isdigit():
+        return os.fdopen(int(spec), "w"), True
+    return open(spec, "w"), True
+
+
+def window_record(tallies: List[Dict[str, Any]],
+                  windows: int) -> Dict[str, Any]:
+    """One barrier's ``window`` record: per-shard tallies summed.
+
+    ``tallies`` are the shards' latest
+    :meth:`~repro.obs.audit.QoSAuditor.rolling` dicts.  Counts add,
+    conformance is recomputed from the summed verdicts, the clock is
+    the furthest shard's and the first breach the earliest.
+    """
+    counts = {"met": 0, "degraded": 0, "violated": 0, "idle": 0}
+    for tally in tallies:
+        for verdict, count in tally["counts"].items():
+            counts[verdict] += count
+    judged = counts["met"] + counts["degraded"] + counts["violated"]
+    breaches = [
+        tally["first_breach_at"] for tally in tallies
+        if tally["first_breach_at"] is not None
+    ]
+    return {
+        "kind": "window",
+        "t": max((tally["t"] for tally in tallies), default=0.0),
+        "windows": windows,
+        "connections": sum(tally["connections"] for tally in tallies),
+        "periods": sum(counts.values()),
+        "counts": counts,
+        "conformance": counts["met"] / judged if judged else None,
+        "first_breach_at": min(breaches, default=None),
+        "skew_over_bound": sum(tally["skew_over_bound"] for tally in tallies),
+        "renegotiations": sum(tally["renegotiations"] for tally in tallies),
+        "releases": sum(tally["releases"] for tally in tallies),
+    }
 
 
 def iter_records(path: str, follow: bool = False,

@@ -1,9 +1,9 @@
-"""Declarative SLO evaluation over streamed soak telemetry.
+"""Declarative SLO evaluation over live soak telemetry.
 
 The live watcher (:mod:`repro.obs.live`) and the nightly CI soak both
 need the same question answered continuously: *is this run healthy so
-far?*  An :class:`SLO` names one metric from the rolling records the
-:class:`repro.obs.stream.DeltaFolder` emits (``conformance``,
+far?*  An :class:`SLO` names one metric from the records a ``--live``
+run writes (:func:`repro.obs.live.window_record`: ``conformance``,
 ``skew_over_bound``, ``lease_violations``, ``first_breach_at``, ...)
 and a bound on it.  Evaluation is three-valued: a metric absent from
 the record (e.g. ``lease_violations`` before the final record, or

@@ -657,7 +657,3 @@ class HLOAgent:
     def max_skew(self, since: float = 0.0) -> float:
         values = [s for t, s in self.skew_series if t >= since]
         return max(values) if values else 0.0
-
-    def mean_skew(self, since: float = 0.0) -> float:
-        values = [s for t, s in self.skew_series if t >= since]
-        return sum(values) / len(values) if values else 0.0

@@ -78,9 +78,6 @@ def _parser() -> argparse.ArgumentParser:
     cell.add_argument("--vcs-per-cell", type=int, default=None)
     cell.add_argument("--duration", type=float, default=None,
                       help="virtual seconds to simulate")
-    cell.add_argument("--stream", action="store_true",
-                      help="per-window telemetry deltas instead of "
-                           "finish-time snapshots (sharded cells only)")
     cell.add_argument("--live", default=None, metavar="PATH|FD",
                       help="rolling JSONL telemetry sink ('-' for "
                            "stdout); tail with python -m repro.obs.live")
@@ -139,18 +136,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             spec.validate()
         except ValueError as exc:
             parser.error(str(exc))
-        if args.stream and spec.shards == 1:
-            parser.error("--stream needs a sharded cell (--shards > 1)")
         live_sink = None
         close_live = False
         if args.live is not None:
-            from repro.obs.stream import open_live_sink
+            from repro.obs.live import open_live_sink
 
             live_sink, close_live = open_live_sink(args.live)
         try:
-            result = run_cell(
-                spec, stream=args.stream, live=live_sink,
-            )
+            result = run_cell(spec, live=live_sink)
         finally:
             if close_live and live_sink is not None:
                 live_sink.close()

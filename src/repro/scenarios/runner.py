@@ -15,7 +15,6 @@ minimal episode list, replayable with
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -72,19 +71,14 @@ def run_cell(
     spec: ScenarioSpec,
     faults: Optional[tuple] = None,
     *,
-    stream: bool = False,
     live: Optional[Any] = None,
 ) -> FleetResult:
     """Execute one scenario cell (inline unless the spec shards it).
 
-    ``stream`` switches a sharded cell to per-window telemetry deltas
-    (byte-identical merged documents, O(active window) coordinator
-    state); ``live`` is an optional JSONL sink passed through to
+    ``live`` is an optional JSONL sink passed through to
     :func:`repro.soak.run_fleet` for rolling SLO telemetry.
     """
     fleet = compile_spec(spec, faults)
-    if stream:
-        fleet = dataclasses.replace(fleet, stream=True)
     return run_fleet(fleet, inline=spec.shards == 1, live=live)
 
 

@@ -86,8 +86,7 @@ def run_sharded(
     kwargs: Optional[dict] = None,
     window: Optional[float] = None,
     mp_context: str = "spawn",
-    progress: Optional[Callable[[float, int], None]] = None,
-    on_delta: Optional[Callable[[int, float, Any], None]] = None,
+    progress: Optional[Callable[[float, int, List[Any]], None]] = None,
 ) -> ShardedRun:
     """Run ``factory(shard_index, *args, **kwargs)`` on every shard.
 
@@ -97,11 +96,9 @@ def run_sharded(
     nothing crosses a boundary); ``window`` optionally caps the window
     width below the lookahead -- a smaller window is always safe and
     useful for exercising the protocol in tests.  ``progress``, when
-    given, is called after every barrier with ``(t_end, windows)``.
-    ``on_delta`` receives ``(shard, t_end, delta)`` for every non-empty
-    telemetry delta a streaming context ships with its window message
-    (before ``progress`` fires for the barrier); see
-    :mod:`repro.obs.stream`.
+    given, is called after every barrier with ``(t_end, windows,
+    tallies)``, where ``tallies[k]`` is the audit tally shard ``k``
+    shipped with its window message (see :mod:`repro.sim.shard.runner`).
 
     Raises :class:`ShardError` with the remote traceback if any worker
     fails, and :class:`ValueError` for a non-positive effective window.
@@ -136,6 +133,7 @@ def run_sharded(
             peeks[k] = msg[2]
 
         pending: List[list] = [[] for _ in range(shards)]
+        tallies: List[Any] = [None] * shards
         t = 0.0
         while t < until:
             bounds = [p for p in peeks if p is not None]
@@ -150,10 +148,8 @@ def run_sharded(
             pending = [[] for _ in range(shards)]
             for k in range(shards):
                 msg = _expect(_recv(conns[k], procs[k], k), "window", k)
-                _, _, outbound, peek, delta = msg
+                _, _, outbound, peek, tallies[k] = msg
                 peeks[k] = peek
-                if on_delta is not None and delta is not None:
-                    on_delta(k, t_end, delta)
                 for arrival, seq, dst_shard, dst_node, packet in outbound:
                     pending[dst_shard].append(
                         (arrival, k, seq, dst_node, packet)
@@ -162,7 +158,7 @@ def run_sharded(
             t = t_end
             run.windows += 1
             if progress is not None:
-                progress(t_end, run.windows)
+                progress(t_end, run.windows, tallies)
 
         for k in range(shards):
             conns[k].send(("finish",))

@@ -10,7 +10,7 @@ synchronization window):
 coordinator → worker       worker → coordinator
 ========================  =============================================
 ``("advance", t_end,       ``("window", shard, outbox_items, peek,
-msgs)``                    delta)`` after running virtual time up to
+msgs)``                    tally)`` after running virtual time up to
                            ``t_end``
 ``("finish",)``            ``("results", shard, payload)`` and exit
 ========================  =============================================
@@ -28,13 +28,12 @@ an object with a ``sim`` attribute (the shard's simulator), an
 arrival, and a ``collect()`` method returning the shard's picklable
 results (snapshots, counters) once the run finishes.
 
-``delta`` streams telemetry: a context exposing a ``delta_stream``
-attribute (a :class:`repro.obs.stream.DeltaEncoder`) ships what changed
-since the previous barrier inside the window message the worker sends
-anyway -- zero extra round trips -- and ``None`` when idle or when the
-context doesn't stream.  The *final* delta travels inside the
-``collect()`` payload (streaming contexts put it under ``"delta"``),
-not in a window message.
+``tally`` is the shard auditor's running summary
+(:meth:`repro.obs.audit.QoSAuditor.rolling`, about ten numbers) or
+``None`` when the shard's simulator has no auditor.  It rides in the
+window message the worker sends anyway, so live telemetry costs no
+extra round trip.  The shard's full audit and metrics travel once, in
+the ``collect()`` payload.
 """
 
 from __future__ import annotations
@@ -133,7 +132,7 @@ def shard_worker(conn, factory, shard_index: int,
         ctx = factory(shard_index, *factory_args, **factory_kwargs)
         sim = ctx.sim
         outbox = ctx.outbox
-        stream = getattr(ctx, "delta_stream", None)
+        auditor = sim.auditor
         conn.send(("ready", shard_index, sim.next_event_time()))
         while True:
             msg = conn.recv()
@@ -148,7 +147,7 @@ def shard_worker(conn, factory, shard_index: int,
                 conn.send((
                     "window", shard_index, outbox.drain(),
                     sim.next_event_time(),
-                    stream.delta() if stream is not None else None,
+                    auditor.rolling() if auditor is not None else None,
                 ))
             elif kind == "finish":
                 conn.send(("results", shard_index, ctx.collect()))

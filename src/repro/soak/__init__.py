@@ -6,7 +6,11 @@ either inline (one simulator, the baseline) or sharded across ``N``
 worker processes via :func:`repro.sim.shard.run_sharded`, then folds
 the per-shard audit/metrics/trace snapshots into one fleet document
 (:func:`repro.obs.audit.merge_snapshots` and friends) that
-``python -m repro.obs.report run`` renders as a single report.
+``python -m repro.obs.report run`` renders as a single report.  The
+merge runs once, at finish time, over the shards' snapshots; live
+telemetry (``run_fleet(live=...)``) only sums the small audit tallies
+each shard ships per barrier, so attaching it cannot change the merged
+documents.
 
 The package's contract (tested in ``tests/integration``): a 1-shard
 sharded run is bit-identical to the inline baseline, and an N-shard
@@ -21,9 +25,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.audit import merge_snapshots
+from repro.obs.live import LiveWriter, window_record
 from repro.obs.profile import merge_profiles
 from repro.obs.registry import merge_snapshots as merge_metrics
-from repro.obs.stream import DeltaFolder, LiveWriter
 from repro.obs.trace import merge_traces
 from repro.sim.shard import reset_process_state, run_sharded
 from repro.soak.fleet import (
@@ -213,14 +217,11 @@ def run_fleet(
     protocol.  ``window`` and ``mp_context`` pass through to
     :func:`repro.sim.shard.run_sharded`.
 
-    With ``spec.stream`` set (sharded runs only), workers ship
-    per-barrier telemetry deltas that a :class:`DeltaFolder` folds as
-    they arrive, and the merged audit/metrics come out of the folder --
-    byte-identical to the snapshot-merge path, without the per-shard
-    finish-time snapshots ever existing.  ``live`` is an optional
-    file-like sink: one rolling JSON line per barrier (streaming runs)
-    plus a ``final`` record (every run), consumed by
-    ``python -m repro.obs.live``.  The caller owns closing the sink.
+    ``live`` is an optional file-like sink, consumed by
+    ``python -m repro.obs.live``: a sharded run writes one ``window``
+    line per barrier (the shards' audit tallies summed), and every run
+    closes with a ``final`` record from the merged audit.  The caller
+    owns closing the sink.
     """
     spec.validate()
     lookahead = fleet_partition(spec).lookahead
@@ -247,40 +248,22 @@ def run_fleet(
             ))
         return result
     labels = [f"s{k}" for k in range(spec.shards)]
-    folder: Optional[DeltaFolder] = None
-    on_delta = None
-    barrier_cb = progress
-    if spec.stream:
-        folder = DeltaFolder(
-            spec.shards, labels=labels, max_timeline=spec.max_timeline,
-        )
 
-        def on_delta(shard: int, _t_end: float, delta: Any) -> None:
-            folder.fold(shard, delta)
-
-        def barrier_cb(t_end: float, windows: int,
-                       _user: Optional[Callable] = progress) -> None:
-            folder.windows = windows
-            if writer is not None:
-                writer.write({"kind": "window", **folder.rolling()})
-            if _user is not None:
-                _user(t_end, windows)
+    def barrier(t_end: float, windows: int, tallies: List[Any]) -> None:
+        if writer is not None:
+            writer.write(window_record(tallies, windows))
+        if progress is not None:
+            progress(t_end, windows)
 
     run = run_sharded(
         build_fleet_shard, spec.shards, until=spec.duration,
         lookahead=lookahead, args=(spec,), window=window,
-        mp_context=mp_context, progress=barrier_cb, on_delta=on_delta,
+        mp_context=mp_context, progress=barrier,
     )
-    if folder is not None:
-        for payload in run.results:
-            folder.fold(payload["shard"], payload.pop("delta", None))
-        audit = folder.result_audit()
-        metrics = folder.result_metrics()
-    else:
-        audit = merge_snapshots(
-            [p["audit"] for p in run.results], labels=labels,
-        )
-        metrics = merge_metrics([p["metrics"] for p in run.results])
+    audit = merge_snapshots(
+        [p["audit"] for p in run.results], labels=labels,
+    )
+    metrics = merge_metrics([p["metrics"] for p in run.results])
     trace = None
     if spec.trace:
         trace = merge_traces(

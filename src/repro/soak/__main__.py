@@ -97,9 +97,6 @@ def _parser() -> argparse.ArgumentParser:
                              "lookahead (protocol stress testing)")
     parser.add_argument("--mp-context", default="spawn",
                         choices=("spawn", "fork", "forkserver"))
-    parser.add_argument("--stream", action="store_true",
-                        help="ship per-window telemetry deltas instead of "
-                             "finish-time snapshots (sharded runs only)")
     parser.add_argument("--live", default=None, metavar="PATH|FD",
                         help="write rolling JSONL telemetry records here "
                              "('-' for stdout, digits for an inherited fd); "
@@ -152,11 +149,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         flow=args.flow,
         topology=args.topology,
         fanout=args.fanout,
-        stream=args.stream,
         profile=args.profile is not None,
     )
-    if args.stream and args.inline:
-        parser.error("--stream requires a sharded run (drop --inline)")
     try:
         spec.validate()
     except ValueError as exc:
@@ -169,7 +163,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     live_sink = None
     close_live = False
     if args.live is not None:
-        from repro.obs.stream import open_live_sink
+        from repro.obs.live import open_live_sink
 
         live_sink, close_live = open_live_sink(args.live)
     try:
@@ -214,8 +208,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         import resource
 
         rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        print(f"  coordinator peak RSS: {rss_kb / 1024:.1f} MiB"
-              f"{' (streaming deltas)' if spec.stream else ''}")
+        print(f"  coordinator peak RSS: {rss_kb / 1024:.1f} MiB")
     except ImportError:  # pragma: no cover - non-POSIX
         pass
 

@@ -9,9 +9,9 @@ rendering every export surface mid-flight -- as with it off.
 
 import json
 
-from benchmarks.scenarios import FilmScenario, film_testbed
 from repro.obs.export import prometheus_text
 from repro.obs.report import render_run
+from repro.scenarios.film import FilmScenario, film_testbed
 
 
 def _film_run(audited: bool, play_seconds: float = 8.0):

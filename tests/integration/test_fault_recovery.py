@@ -7,9 +7,9 @@ policy's strictness bound.  Separately, installing an *empty* fault
 plan must leave a run bit-identical to one with no plan at all.
 """
 
-from benchmarks.scenarios import FilmScenario, film_testbed
 from repro.faults.plan import FaultPlan, link_outage
 from repro.orchestration.policy import CompensationAction
+from repro.scenarios.film import FilmScenario, film_testbed
 
 SETTLE = 0.5
 

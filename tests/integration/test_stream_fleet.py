@@ -1,19 +1,21 @@
-"""Streaming telemetry equals snapshot merging, over real fleets.
+"""Live telemetry leaves the fleet merge untouched, over real fleets.
 
-The PR 10 contract extending ``docs/SCALING.md``: a sharded run whose
-workers ship per-window deltas (``FleetSpec.stream``) must produce the
-same merged audit and metrics documents -- byte for byte -- as the
-finish-time snapshot-merge path, while the coordinator only ever holds
-one evolving copy of the merged document.  Pinned over a plain
-cross-traffic fleet with control planes, and over a chaotic scenario
-cell where faults drive renegotiations, releases and drill-downs
-through the delta encoder.
+A sharded run with a ``--live`` sink attached ships each shard's audit
+tally in every window message and writes one JSON line per barrier,
+but its merged audit and metrics documents must stay byte-identical
+to the same run without a sink: the merge runs once, at finish time,
+over the same snapshots either way.  Pinned over a plain cross-traffic
+fleet with control planes, and over a chaotic scenario cell whose
+faults drive violated periods.
 
 Spawned worker processes make these slow; specs stay CI-small.
 """
 
 import dataclasses
+import io
 import json
+
+import pytest
 
 from repro.scenarios.runner import run_cell
 from repro.scenarios.spec import parse_scenario_id
@@ -32,27 +34,37 @@ def _dumps(doc) -> str:
 class TestStreamedFleetIdentity:
     def test_streamed_documents_byte_identical_to_merge(self):
         merged = run_fleet(SPEC)
-        streamed = run_fleet(dataclasses.replace(SPEC, stream=True))
+        sink = io.StringIO()
+        streamed = run_fleet(SPEC, live=sink)
         assert _dumps(streamed.audit) == _dumps(merged.audit)
         assert _dumps(streamed.metrics) == _dumps(merged.metrics)
-        # Streaming workers never ship finish-time snapshots at all.
-        assert all(p["audit"] is None for p in streamed.payloads)
-        assert all(p["metrics"] is None for p in streamed.payloads)
-        assert all(p["audit"] is not None for p in merged.payloads)
+        # One window record per barrier, then the final record.
+        assert len(sink.getvalue().splitlines()) == streamed.windows + 1
 
     def test_chaotic_sharded_cell_streams_identically(self):
         spec = dataclasses.replace(
             parse_scenario_id("cbr/cells/chaos@s0"), shards=2,
         )
         merged = run_cell(spec)
-        streamed = run_cell(spec, stream=True)
+        sink = io.StringIO()
+        streamed = run_cell(spec, live=sink)
         assert _dumps(streamed.audit) == _dumps(merged.audit)
         assert _dumps(streamed.metrics) == _dumps(merged.metrics)
+        summary = merged.audit["summary"]
+        assert summary["counts"]["violated"], "chaos cell had no breach"
+        *windows, final = map(json.loads, sink.getvalue().splitlines())
+        assert final["kind"] == "final"
+        assert final["counts"] == summary["counts"]
+        # The summed tallies saw the same breaches, and no earlier.
+        assert windows[-1]["counts"] == summary["counts"]
+        assert windows[-1]["first_breach_at"] == pytest.approx(
+            final["first_breach_at"], rel=1e-12,
+        )
 
     def test_live_sink_records_windows_and_final(self, tmp_path):
         path = tmp_path / "live.jsonl"
         with open(path, "w") as sink:
-            run_fleet(dataclasses.replace(SPEC, stream=True), live=sink)
+            run_fleet(SPEC, live=sink)
         records = [
             json.loads(line) for line in open(path) if line.strip()
         ]
@@ -61,10 +73,13 @@ class TestStreamedFleetIdentity:
         assert kinds[-1] == "final"
         assert all(kind == "window" for kind in kinds[:-1])
         final = records[-1]
-        # The rolling fold and the merged document agree on the run.
+        # The summed tallies and the merged document agree on the run.
         merged = run_fleet(SPEC)
         summary = merged.audit["summary"]
         assert final["connections"] == summary["connections"]
         assert final["periods"] == summary["periods"]
         assert final["conformance"] == summary["conformance"]
         assert final["counts"] == summary["counts"]
+        last = records[-2]
+        for key in ("connections", "periods", "counts", "conformance"):
+            assert last[key] == final[key], key

@@ -1,13 +1,13 @@
-"""Tests for streaming telemetry deltas: encoder, folder, live sink.
+"""Tests for live telemetry: the auditor's running tally, the sink.
 
-The load-bearing property: for *any* interleaving of audit/registry
-activity and barrier points, folding the encoder's per-barrier deltas
-reconstructs the same documents a finish-time snapshot merge builds --
-byte for byte.  ``tests/integration/test_stream_fleet.py`` pins the
-same property over real sharded fleets; here hypothesis drives the
-primitives directly so the state machine is exercised far off the
-fleet's happy path (re-registration, idle barriers, interleaved group
-churn, windows that roll between barriers...).
+The load-bearing property: after *any* interleaving of auditor calls,
+the O(1) :meth:`QoSAuditor.rolling` tally equals the same summary
+recomputed from the full :meth:`QoSAuditor.snapshot`.  Hypothesis
+drives the auditor far off the fleet's happy path (re-registration,
+records for never-registered VCs, repeated releases, interleaved group
+churn...).  ``tests/integration/test_stream_fleet.py`` pins that
+attaching the live sink to real sharded fleets leaves their merged
+documents byte-identical.
 """
 
 import io
@@ -18,14 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.audit import QoSAuditor, merge_snapshots
+from repro.obs.live import LiveWriter, open_live_sink, window_record
 from repro.obs.registry import MetricsRegistry
-from repro.obs.registry import merge_snapshots as merge_metrics
-from repro.obs.stream import (
-    DeltaEncoder,
-    DeltaFolder,
-    LiveWriter,
-    open_live_sink,
-)
 from repro.transport.qos import QoSContract, QoSMeasurement
 
 CONTRACT = QoSContract(
@@ -57,13 +51,9 @@ def _bad(t0, t1):
     )
 
 
-def _dumps(doc) -> str:
-    return json.dumps(doc, indent=2)
-
-
 # One scripted operation: (op kind, entity index, scalar argument).
 _OP = st.tuples(
-    st.integers(min_value=0, max_value=13),
+    st.integers(min_value=0, max_value=15),
     st.integers(min_value=0, max_value=3),
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False,
               width=32),
@@ -109,104 +99,97 @@ def _apply(op, sim, auditor, registry):
         registry.window(f"w.{idx}").add(value)
     elif kind == 13:
         registry.window(f"w.{idx}").roll()
+    elif kind == 14:
+        # Nothing observable this period: an idle verdict.
+        auditor.record_period(
+            vc, CONTRACT, QoSMeasurement(sim.now, sim.now + 0.5), [],
+        )
+    elif kind == 15:
+        # Worse than contracted but no indication fired: degraded.
+        auditor.record_period(vc, CONTRACT, _bad(sim.now, sim.now + 0.5), [])
     sim.now += 0.25
 
 
-class TestDeltaRoundTrip:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        script=st.lists(_OP, max_size=60),
-        barriers=st.sets(st.integers(min_value=0, max_value=59)),
-    )
-    def test_folded_deltas_equal_snapshot_merge(self, script, barriers):
-        sim = FakeSim()
-        auditor = QoSAuditor(sim)
-        registry = MetricsRegistry(clock=lambda: sim.now)
-        encoder = DeltaEncoder(auditor=auditor, registry=registry)
-        folder = DeltaFolder(1)
-        for step, op in enumerate(script):
-            _apply(op, sim, auditor, registry)
-            if step in barriers:
-                folder.fold(0, encoder.delta())
-        folder.fold(0, encoder.delta(final=True))
-        assert _dumps(folder.result_audit()) == _dumps(auditor.snapshot())
-        assert (_dumps(folder.result_metrics())
-                == _dumps(merge_metrics([registry.snapshot()])))
-
-    def test_two_shard_fold_matches_labelled_merge(self):
-        sims = [FakeSim(), FakeSim()]
-        auditors = [QoSAuditor(sim) for sim in sims]
-        encoders = [DeltaEncoder(auditor=a) for a in auditors]
-        folder = DeltaFolder(2, labels=["s0", "s1"])
-        for shard, auditor in enumerate(auditors):
-            vc = f"s{shard}:v0"
-            auditor.register_connection(vc, CONTRACT)
-            auditor.record_period(vc, CONTRACT, _met(0.0, 0.5), [])
-            sims[shard].now = 0.5
-            folder.fold(shard, encoders[shard].delta())
-            auditor.record_period(vc, CONTRACT, _met(0.5, 1.0), [])
-            sims[shard].now = 1.0
-        for shard, encoder in enumerate(encoders):
-            folder.fold(shard, encoder.delta(final=True))
-        merged = merge_snapshots(
-            [a.snapshot() for a in auditors], labels=["s0", "s1"],
-        )
-        assert _dumps(folder.result_audit()) == _dumps(merged)
-
-    def test_none_delta_between_barriers_and_final_never_none(self):
-        sim = FakeSim()
-        auditor = QoSAuditor(sim)
-        encoder = DeltaEncoder(auditor=auditor)
-        assert encoder.delta() is None  # nothing happened yet
-        auditor.register_connection("v0", CONTRACT)
-        assert encoder.delta() is not None
-        assert encoder.delta() is None  # drained; still idle
-        assert encoder.delta(final=True) is not None
-
-    def test_timeline_cap_matches_capped_auditor(self):
-        sim = FakeSim()
-        auditor = QoSAuditor(sim, max_timeline=3)
-        encoder = DeltaEncoder(auditor=auditor)
-        folder = DeltaFolder(1, max_timeline=3)
-        for k in range(8):
-            auditor.record_period(
-                "v0", CONTRACT, _met(k * 0.5, k * 0.5 + 0.5), [],
-            )
-            sim.now += 0.5
-            folder.fold(0, encoder.delta())
-        folder.fold(0, encoder.delta(final=True))
-        timeline = folder.result_audit()["connections"][0]["timeline"]
-        assert len(timeline) == 3
-        snapshot = auditor.snapshot()["connections"][0]["timeline"]
-        assert timeline == snapshot
-
-    def test_requires_a_source(self):
-        with pytest.raises(ValueError):
-            DeltaEncoder()
+def _recomputed(auditor):
+    """The rolling summary, derived the slow way from the snapshot."""
+    snap = auditor.snapshot()
+    summary = snap["summary"]
+    breaches = [
+        conn.first_violation_at for conn in auditor._connections.values()
+        if conn.first_violation_at is not None
+    ]
+    return {
+        "t": snap["now"],
+        "connections": summary["connections"],
+        "periods": summary["periods"],
+        "counts": summary["counts"],
+        "conformance": summary["conformance"],
+        "first_breach_at": min(breaches, default=None),
+        "skew_over_bound": sum(g["over_bound"] for g in snap["groups"]),
+        "renegotiations": sum(summary["renegotiations"].values()),
+        "releases": sum(summary["releases"].values()),
+    }
 
 
 class TestRollingSummary:
+    @settings(max_examples=80, deadline=None)
+    @given(script=st.lists(_OP, max_size=60))
+    def test_tally_equals_snapshot_recompute(self, script):
+        sim = FakeSim()
+        auditor = QoSAuditor(sim)
+        registry = MetricsRegistry(clock=lambda: sim.now)
+        assert auditor.rolling() == _recomputed(auditor)
+        for op in script:
+            _apply(op, sim, auditor, registry)
+            assert auditor.rolling() == _recomputed(auditor)
+
     def test_rolls_counts_and_first_breach(self):
         sim = FakeSim()
         auditor = QoSAuditor(sim)
-        encoder = DeltaEncoder(auditor=auditor)
-        folder = DeltaFolder(1)
         auditor.record_period("v0", CONTRACT, _met(0.0, 0.5), [])
         sim.now = 0.5
-        folder.fold(0, encoder.delta())
-        rolling = folder.rolling()
+        rolling = auditor.rolling()
         assert rolling["counts"]["met"] == 1
         assert rolling["conformance"] == 1.0
         assert rolling["first_breach_at"] is None
         bad = _bad(0.5, 1.0)
         auditor.record_period("v0", CONTRACT, bad, CONTRACT.violations(bad))
         sim.now = 1.0
-        folder.fold(0, encoder.delta())
-        rolling = folder.rolling()
+        rolling = auditor.rolling()
         assert rolling["counts"]["violated"] == 1
         assert rolling["conformance"] == 0.5
         # The auditor stamps the first violation at the period's end.
         assert rolling["first_breach_at"] == pytest.approx(1.0)
+
+    def test_window_record_sums_shards_like_the_merge(self):
+        sims = [FakeSim(), FakeSim()]
+        auditors = [QoSAuditor(sim) for sim in sims]
+        for shard, auditor in enumerate(auditors):
+            vc = f"s{shard}:v0"
+            auditor.record_period(vc, CONTRACT, _met(0.0, 0.5), [])
+            bad = _bad(0.5, 1.0 + shard)
+            auditor.record_period(
+                vc, CONTRACT, bad, CONTRACT.violations(bad),
+            )
+            auditor.record_renegotiation(vc, "confirmed")
+            auditor.register_group("g", bound=0.08)
+            auditor.record_skew("g", 0.5)
+            sims[shard].now = 2.0 - shard
+        record = window_record([a.rolling() for a in auditors], windows=7)
+        merged = merge_snapshots(
+            [a.snapshot() for a in auditors], labels=["s0", "s1"],
+        )
+        summary = merged["summary"]
+        assert record["kind"] == "window"
+        assert record["windows"] == 7
+        assert record["t"] == 2.0
+        assert record["first_breach_at"] == 1.0
+        assert record["connections"] == summary["connections"]
+        assert record["periods"] == summary["periods"]
+        assert record["counts"] == summary["counts"]
+        assert record["conformance"] == summary["conformance"]
+        assert record["renegotiations"] == 2
+        assert record["skew_over_bound"] == 2
 
 
 class TestLiveSink:
