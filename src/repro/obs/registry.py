@@ -226,6 +226,14 @@ class SpanAccumulator:
         self._count[key] = self._count.get(key, 0) + 1
         return token
 
+    def mark(self, key: str) -> None:
+        """Count a span of ``key`` that opens and closes at once.
+
+        Same effect as ``end(begin(key))`` at one instant: the count
+        grows, the total does not.
+        """
+        self._count[key] = self._count.get(key, 0) + 1
+
     def end(self, token: int) -> None:
         entry = self._open.pop(token, None)
         if entry is None:

@@ -5,8 +5,21 @@ driven through cancellable/reschedulable handles, with generator
 coroutines on top -- written from scratch so the reproduction has no
 runtime dependencies beyond the standard library.
 
-Event storage is split three ways by temporal distance:
+Event storage is split four ways by temporal distance:
 
+- the **ready queue** (``_ready``): a FIFO of ``(seq, fn, args)``
+  entries for the current instant.  :meth:`Simulator.call_soon` -- the
+  zero-delay wakeups of events, process starts and semaphore grants --
+  appends here and never touches the other regions: no handle, no
+  sorted insert.  Its head sorts as ``(now, 0, seq)`` in the global
+  key, so the dispatch loop takes it before the current bucket's next
+  entry unless that entry's key is smaller (an entry at ``now`` with a
+  negative priority, or priority 0 and an older seq).  The wheel and
+  the overflow heap hold only later buckets, hence later instants.
+  The one exception is between ``run(until=...)`` windows, when the
+  clock may stand past the current bucket and the wheel may hold an
+  entry at ``now``; until the next bucket load (``_lag``),
+  ``call_soon`` takes the ordinary scheduled path instead.
 - the **current bucket** (``_cur``): a sorted run holding the events
   of the bucket being drained, ordered by the full
   ``(when, priority, seq)`` key and consumed through an index pointer
@@ -51,22 +64,24 @@ reusable primitives instead:
 - :class:`PeriodicTimer` -- fires a callback every ``period`` seconds,
   re-arming one handle per tick.
 
-Every scheduling call returns a :class:`TimerHandle` with O(1)
-``cancel()`` and ``reschedule()``.  Cancelled or superseded entries are
-reclaimed lazily: they are skipped when they surface, and each region
-(wheel, overflow heap) is compacted in one sweep whenever more than
-half of it is dead.
+Every timed scheduling call returns a :class:`TimerHandle` with O(1)
+``cancel()`` and ``reschedule()``; ``call_soon`` returns nothing (a
+same-instant wakeup is never retracted).  Cancelled or superseded
+entries are reclaimed lazily: they are skipped when they surface, and
+each region (wheel, overflow heap) is compacted in one sweep whenever
+more than half of it is dead.
 
 Reentrancy contract: callbacks run from ``run()``/``step()`` may
 schedule, cancel and reschedule freely -- including operations that
 trigger a compaction sweep -- and never observe a half-compacted
 structure.  Two invariants make this safe: the current-bucket run
-object (``_cur``) is mutated only in place, never replaced, so the
-dispatch loop's alias stays valid across any callback (inserts land at
-or after the index pointer, so consumed positions never shift); and
-sweeps of the wheel and the overflow heap filter their containers in
-place (slice assignment) and only run from scheduling calls, never
-while the dispatch loop is iterating them.
+object (``_cur``) and the ready queue are mutated only in place, never
+replaced, so the dispatch loop's aliases stay valid across any callback
+(inserts land at or after the index pointer, so consumed positions
+never shift; ready entries are only appended); and sweeps of the wheel
+and the overflow heap filter their containers in place (slice
+assignment) and only run from scheduling calls, never while the
+dispatch loop is iterating them.
 
 Time is a float in **seconds** throughout the code base.
 """
@@ -76,6 +91,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import insort as _insort
+from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -173,11 +189,6 @@ class TimerHandle:
         return self.reschedule(self.sim._now + delay)
 
 
-#: Backwards-compatible name: the pre-handle kernel called these
-#: ScheduledCall; the API (cancel/cancelled) is a subset of TimerHandle.
-ScheduledCall = TimerHandle
-
-
 class Simulator:
     """A discrete-event simulator with a virtual clock.
 
@@ -185,9 +196,11 @@ class Simulator:
     ``seq`` counter makes ordering of simultaneous events deterministic
     (FIFO within equal time and priority, including reschedules:
     re-arming for the same instant re-enqueues behind its
-    contemporaries).  Storage is a timer wheel with an overflow heap
-    (see the module docstring); the total order dispatched is exactly
-    the one a single global heap over the same tuples would produce.
+    contemporaries).  Storage is a ready queue for the current instant
+    plus a timer wheel with an overflow heap (see the module
+    docstring); the total order dispatched is exactly the one a single
+    global heap over the same tuples would produce, with each
+    ``call_soon`` counted as a priority-0 entry at ``now``.
     """
 
     def __init__(self) -> None:
@@ -213,8 +226,14 @@ class Simulator:
         self._wheel_end = _SLOTS
         self._cur: list[tuple[float, int, int, int, TimerHandle]] = []
         self._cur_i = 0
-        # Entry accounting: ``pending_events`` is _count - _dead.  The
-        # per-region dead counts drive the region compaction sweeps.
+        # Ready queue: (seq, fn, args) for the current instant, FIFO.
+        # ``_lag`` is True while run(until=...) has left the clock past
+        # the current bucket; call_soon then schedules through _push.
+        self._ready: deque[tuple[int, Callable[..., None], tuple]] = deque()
+        self._lag = False
+        # Entry accounting for the wheel regions: ``pending_events`` is
+        # _count - _dead plus the ready queue's length.  The per-region
+        # dead counts drive the region compaction sweeps.
         self._count = 0
         self._dead = 0
         self._wheel_count = 0
@@ -266,9 +285,16 @@ class Simulator:
             raise SimulationError(f"negative delay {delay}")
         return self.call_at(self._now + delay, fn, priority)
 
-    def call_soon(self, fn: Callable[[], None], priority: int = 0) -> TimerHandle:
-        """Schedule ``fn()`` at the current time (after pending events)."""
-        return self.call_at(self._now, fn, priority)
+    def call_soon(self, fn: Callable[..., None], *args: Any) -> None:
+        """Schedule ``fn(*args)`` at the current time (after pending events).
+
+        Same order as ``call_at(now, ...)`` at priority 0, without the
+        handle: the entry joins the ready queue.
+        """
+        if self._lag:
+            self.call_at(self._now, lambda: fn(*args))
+        else:
+            self._ready.append((self._next_seq(), fn, args))
 
     def _push(self, handle: TimerHandle, when: float) -> None:
         if when < self._now:
@@ -335,10 +361,6 @@ class Simulator:
             self._heap_dead += 1
             if self._heap_dead * 2 > len(self._heap) >= _COMPACT_MIN_HEAP:
                 self._compact()
-
-    def _maybe_compact(self) -> None:
-        if self._heap_dead * 2 > len(self._heap) >= _COMPACT_MIN_HEAP:
-            self._compact()
 
     def _compact(self) -> None:
         """Sweep the overflow heap's dead entries in one O(n) pass.
@@ -411,6 +433,8 @@ class Simulator:
         if until is not None and target * _TICK > until:
             return False
         self._cursor = target
+        if self._lag:
+            self._lag = int(self._now * _INV_TICK) > target
         self._wheel_end = wheel_end = target + _SLOTS
         # Migrate matured overflow entries into the window.  Dead ones
         # are dropped here instead of being copied.
@@ -479,12 +503,16 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
+        if until is not None and until < self._now:
+            return self._now
         self._running = True
         # ``cur`` stays valid across callbacks: _advance and the sweeps
         # mutate the list in place, never rebind self._cur.  The index
         # pointer is re-read every iteration because callbacks may
         # insert into the unconsumed suffix (never before it).
         cur = self._cur
+        ready = self._ready
+        pop_ready = ready.popleft
         # Hoisted: enabling profiling mid-run takes effect on the next
         # run() call; the unprofiled loop stays branch-identical.
         prof = self.profile
@@ -494,7 +522,14 @@ class Simulator:
                 if i < len(cur):
                     entry = cur[i]
                     handle = entry[4]
-                    if handle._live and entry[3] == handle._gen:
+                    if not (handle._live and entry[3] == handle._gen):
+                        self._cur_i = i + 1
+                        self._count -= 1
+                        self._dead -= 1
+                        continue
+                    # The ready head, keyed (now, 0, seq), goes first
+                    # unless this entry sorts before it.
+                    if not ready or entry < (self._now, 0, ready[0][0]):
                         when = entry[0]
                         if until is not None and when > until:
                             break
@@ -510,15 +545,21 @@ class Simulator:
                             prof.add(
                                 "scheduler.dispatch", _t0, prof.clock()
                             )
-                    else:
-                        self._cur_i = i + 1
-                        self._count -= 1
-                        self._dead -= 1
+                        continue
+                elif not ready:
+                    if not self._advance(until):
+                        break
                     continue
-                if not self._advance(until):
-                    break
+                _seq, fn, args = pop_ready()
+                if prof is None:
+                    fn(*args)
+                else:
+                    _t0 = prof.clock()
+                    fn(*args)
+                    prof.add("scheduler.dispatch", _t0, prof.clock())
             if until is not None and until > self._now:
                 self._now = until
+                self._lag = int(until * _INV_TICK) > self._cursor
         finally:
             self._running = False
         return self._now
@@ -526,40 +567,53 @@ class Simulator:
     def step(self) -> bool:
         """Execute a single event.  Returns False when none remain."""
         cur = self._cur
+        ready = self._ready
         while True:
             i = self._cur_i
             if i < len(cur):
-                when, _prio, _seq, gen, handle = cur[i]
-                self._cur_i = i + 1
-                self._count -= 1
-                if not handle._live or gen != handle._gen:
+                entry = cur[i]
+                handle = entry[4]
+                if not (handle._live and entry[3] == handle._gen):
+                    self._cur_i = i + 1
+                    self._count -= 1
                     self._dead -= 1
                     continue
-                self._now = when
-                handle._live = False
-                handle._fn()
-                return True
-            if not self._advance(None):
-                return False
+                if not ready or entry < (self._now, 0, ready[0][0]):
+                    self._cur_i = i + 1
+                    self._count -= 1
+                    self._now = entry[0]
+                    handle._live = False
+                    handle._fn()
+                    return True
+            elif not ready:
+                if not self._advance(None):
+                    return False
+                continue
+            _seq, fn, args = ready.popleft()
+            fn(*args)
+            return True
 
     @property
     def pending_events(self) -> int:
         """Number of scheduled (non-cancelled) events.  O(1)."""
-        return self._count - self._dead
+        return self._count - self._dead + len(self._ready)
 
     def next_event_time(self) -> Optional[float]:
         """Conservative lower bound on the next event's fire time.
 
-        Read-only: scans the unconsumed dispatch run, the occupancy
-        bitmap and the overflow heap without mutating any of them, so it
-        is safe to call between ``run(until=...)`` windows (the shard
-        coordinator uses it to pick the next synchronization horizon).
+        Read-only: scans the ready queue, the unconsumed dispatch run,
+        the occupancy bitmap and the overflow heap without mutating any
+        of them, so it is safe to call between ``run(until=...)``
+        windows (the shard coordinator uses it to pick the next
+        synchronization horizon).
 
         The bound is conservative in the safe direction: dead (cancelled)
         entries and bucket starts may make it *earlier* than the first
         event that actually fires, never later.  Returns ``None`` when
         nothing is scheduled.
         """
+        if self._ready:
+            return self._now
         cur = self._cur
         i = self._cur_i
         if i < len(cur):
@@ -625,7 +679,7 @@ class Timeout(Waitable):
 
     def _await(self, callback: Callable[[Any], None]) -> Callable[[], None]:
         if self._fired:
-            self.sim.call_soon(lambda: callback(self.value))
+            self.sim.call_soon(callback, self.value)
             return _noop_detach
         if not self._handle.scheduled:
             # All previous waiters detached and the timer was reclaimed;
@@ -806,12 +860,13 @@ class Event(Waitable):
         self._is_set = True
         self._value = value
         callbacks, self._callbacks = self._callbacks, []
+        call_soon = self.sim.call_soon
         for cb in callbacks:
-            self.sim.call_soon(lambda cb=cb: cb(value))
+            call_soon(cb, value)
 
     def _await(self, callback: Callable[[Any], None]) -> Callable[[], None]:
         if self._is_set:
-            self.sim.call_soon(lambda: callback(self._value))
+            self.sim.call_soon(callback, self._value)
             return _noop_detach
         self._callbacks.append(callback)
         return lambda: self._discard(callback)
@@ -870,7 +925,7 @@ class AllOf(Waitable):
     def _await(self, callback: Callable[[Any], None]) -> Callable[[], None]:
         total = len(self.waitables)
         if total == 0:
-            self.sim.call_soon(lambda: callback([]))
+            self.sim.call_soon(callback, [])
             return _noop_detach
         values: list[Any] = [None] * total
         remaining = [total]
@@ -920,7 +975,7 @@ class Process(Waitable):
             sim.trace.instant(
                 f"spawn:{self.name}", track="sim", cat="process"
             )
-        sim.call_soon(lambda: self._resume(None))
+        sim.call_soon(self._resume, None)
 
     @property
     def alive(self) -> bool:
@@ -974,7 +1029,7 @@ class Process(Waitable):
         if self._detach is not None:
             self._detach()
             self._detach = None
-        self.sim.call_soon(lambda: self._throw(Interrupt(cause)))
+        self.sim.call_soon(self._throw, Interrupt(cause))
 
     def _await(self, callback: Callable[[Any], None]) -> Callable[[], None]:
         return self.finished._await(callback)

@@ -8,15 +8,76 @@ semaphores"*; those statistics feed the Orch.Regulate.indication report
 (section 6.3.1.2).  :class:`TimedSemaphore` implements exactly that:
 every acquire is tagged with a role label and the total time each role
 spent blocked is accumulated.
+
+Section 3.7 also says why semaphores are cheap: "with compatible
+rates ... the semaphores never block".  The common acquire is therefore
+the uncontended one, and it has a fast path: the unit is taken at once,
+the role's acquire count is bumped, and a small pre-granted waitable is
+returned.  No blocked span is opened (a zero-length span adds nothing
+to the total), and the waiter resumes after the same two same-instant
+hops as a contended grant -- the grant hop, then the resume hop -- both
+through the simulator's ready queue, so the firing order is the same.
+
+A waiter that detaches before its grant -- an interrupted process, an
+:class:`~repro.sim.scheduler.AnyOf` loss -- leaves the FIFO and, on a
+:class:`TimedSemaphore`, ends its blocked span at that instant, so a
+later release or put is never handed to a process that stopped waiting.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Callable, Deque, Optional
 
 from repro.obs.registry import SpanAccumulator
-from repro.sim.scheduler import Event, SimulationError, Simulator, Waitable
+from repro.sim.scheduler import (
+    Event,
+    SimulationError,
+    Simulator,
+    Waitable,
+    _noop_detach,
+)
+
+
+class _Acquire(Waitable):
+    """One semaphore acquire: queued, granted, then ready.
+
+    Ready, it resumes its single waiter one same-instant hop later, as a
+    set :class:`~repro.sim.scheduler.Event` would.  ``token`` is the open
+    blocked span of a contended :class:`TimedSemaphore` acquire.
+    """
+
+    __slots__ = ("sem", "token", "callback", "queued", "ready")
+
+    def __init__(self, sem: "Semaphore", ready: bool = False):
+        self.sem = sem
+        self.token: Optional[int] = None
+        self.callback: Optional[Callable[[Any], None]] = None
+        self.queued = False
+        self.ready = ready
+
+    def fire(self) -> None:
+        """Become ready; the waiter, if any, resumes one hop later."""
+        self.ready = True
+        callback = self.callback
+        if callback is not None:
+            self.callback = None
+            self.sem.sim.call_soon(callback, None)
+
+    def _await(self, callback: Callable[[Any], None]) -> Callable[[], None]:
+        if self.ready:
+            self.sem.sim.call_soon(callback, None)
+            return _noop_detach
+        if self.callback is not None:
+            raise SimulationError("semaphore acquire already has a waiter")
+        self.callback = callback
+        return self._detach
+
+    def _detach(self) -> None:
+        self.callback = None
+        if self.queued:
+            self.queued = False
+            self.sem._withdraw(self)
 
 
 class Semaphore:
@@ -31,7 +92,7 @@ class Semaphore:
             raise SimulationError(f"negative semaphore value {value}")
         self.sim = sim
         self._value = value
-        self._waiters: Deque[Event] = deque()
+        self._waiters: Deque[_Acquire] = deque()
 
     @property
     def value(self) -> int:
@@ -43,13 +104,15 @@ class Semaphore:
 
     def acquire(self) -> Waitable:
         """Return a waitable that fires when a unit has been granted."""
-        ev = Event(self.sim)
         if self._value > 0 and not self._waiters:
             self._value -= 1
-            ev.set(None)
-        else:
-            self._waiters.append(ev)
-        return ev
+            return _Acquire(self, ready=True)
+        return self._park(_Acquire(self))
+
+    def _park(self, acq: _Acquire) -> _Acquire:
+        acq.queued = True
+        self._waiters.append(acq)
+        return acq
 
     def try_acquire(self) -> bool:
         """Non-blocking acquire; True when a unit was taken."""
@@ -60,9 +123,17 @@ class Semaphore:
 
     def release(self) -> None:
         if self._waiters:
-            self._waiters.popleft().set(None)
+            acq = self._waiters.popleft()
+            acq.queued = False
+            self._grant(acq)
         else:
             self._value += 1
+
+    def _grant(self, acq: _Acquire) -> None:
+        acq.fire()
+
+    def _withdraw(self, acq: _Acquire) -> None:
+        self._waiters.remove(acq)
 
 
 class TimedSemaphore(Semaphore):
@@ -86,16 +157,28 @@ class TimedSemaphore(Semaphore):
         return self.sim.now
 
     def acquire(self, role: str = "unknown") -> Waitable:  # type: ignore[override]
-        token = self._waits.begin(role)
-        inner = super().acquire()
-        outer = Event(self.sim)
+        if self._value > 0 and not self._waiters:
+            # Section 3.7's never-blocking case: grant now, then the
+            # grant hop.
+            self._value -= 1
+            self._waits.mark(role)
+            acq = _Acquire(self)
+            self.sim.call_soon(acq.fire)
+            return acq
+        acq = _Acquire(self)
+        acq.token = self._waits.begin(role)
+        return self._park(acq)
 
-        def on_grant(_value: Any) -> None:
-            self._waits.end(token)
-            outer.set(None)
+    def _grant(self, acq: _Acquire) -> None:
+        self.sim.call_soon(self._granted, acq)
 
-        inner._await(on_grant)
-        return outer
+    def _granted(self, acq: _Acquire) -> None:
+        self._waits.end(acq.token)
+        acq.fire()
+
+    def _withdraw(self, acq: _Acquire) -> None:
+        super()._withdraw(acq)
+        self._waits.end(acq.token)
 
     def blocked_time(self, role: str) -> float:
         """Total virtual seconds ``role`` has spent blocked so far.
@@ -116,6 +199,25 @@ class TimedSemaphore(Semaphore):
         self._waits.reset()
 
 
+class _Parked(Event):
+    """An :class:`~repro.sim.scheduler.Event` parked in a :class:`Queue`'s
+    getter or putter FIFO (``item`` is a blocked put's item).
+
+    When its last waiter detaches before it is set, it leaves the FIFO.
+    """
+
+    def __init__(self, sim: Simulator, fifo: Deque["_Parked"], item: Any = None):
+        super().__init__(sim)
+        self._fifo = fifo
+        self.item = item
+        fifo.append(self)
+
+    def _discard(self, callback) -> None:
+        super()._discard(callback)
+        if not self._is_set and not self._callbacks:
+            self._fifo.remove(self)
+
+
 class QueueFull(Exception):
     """Raised by :meth:`Queue.put_nowait` on a full bounded queue."""
 
@@ -134,8 +236,8 @@ class Queue:
         self.sim = sim
         self.capacity = capacity
         self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
+        self._getters: Deque[_Parked] = deque()
+        self._putters: Deque[_Parked] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -146,12 +248,11 @@ class Queue:
 
     def put(self, item: Any) -> Waitable:
         """Waitable put; fires once the item is enqueued."""
+        if self.full:
+            return _Parked(self.sim, self._putters, item)
         ev = Event(self.sim)
-        if not self.full:
-            self._enqueue(item)
-            ev.set(None)
-        else:
-            self._putters.append((ev, item))
+        self._enqueue(item)
+        ev.set(None)
         return ev
 
     def put_nowait(self, item: Any) -> None:
@@ -167,13 +268,12 @@ class Queue:
 
     def get(self) -> Waitable:
         """Waitable get; fires with the dequeued item."""
+        if not self._items:
+            return _Parked(self.sim, self._getters)
         ev = Event(self.sim)
-        if self._items:
-            item = self._items.popleft()
-            self._admit_putter()
-            ev.set(item)
-        else:
-            self._getters.append(ev)
+        item = self._items.popleft()
+        self._admit_putter()
+        ev.set(item)
         return ev
 
     def get_nowait(self) -> Any:
@@ -185,8 +285,8 @@ class Queue:
 
     def _admit_putter(self) -> None:
         if self._putters and not self.full:
-            ev, item = self._putters.popleft()
-            self._enqueue(item)
+            ev = self._putters.popleft()
+            self._enqueue(ev.item)
             ev.set(None)
 
     def clear(self) -> int:

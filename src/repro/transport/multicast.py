@@ -161,7 +161,9 @@ class MulticastSendVC:
         if self.cos.error_correction:
             self._cache[osdu.seq] = tpdu
             if len(self._cache) > RETRANSMIT_CACHE:
-                self._cache.pop(min(self._cache))
+                # Keys arrive in increasing seq order, so the first
+                # key is the oldest.
+                del self._cache[next(iter(self._cache))]
         self.sent_count += 1
         size_bits = int(
             (osdu.size_bytes + DATA_HEADER_BYTES + OPDU.WIRE_BYTES) * 8

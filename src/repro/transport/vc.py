@@ -207,7 +207,9 @@ class SendVC:
             )
             self._cache[osdu.seq] = tpdu
             if len(self._cache) > RETRANSMIT_CACHE:
-                self._cache.pop(min(self._cache))
+                # Keys arrive in increasing seq order, so the first
+                # key is the oldest.
+                del self._cache[next(iter(self._cache))]
         else:
             tpdu = DataTPDU.acquire(
                 self.vc_id, osdu, osdu.seq, now, now,
@@ -294,8 +296,14 @@ class SendVC:
         if self.window is None:
             return
         self.window.on_ack(cumulative_seq, advertised)
-        for seq in [s for s in self._cache if s < cumulative_seq]:
-            del self._cache[seq]
+        cache = self._cache
+        acked = []
+        for seq in cache:
+            if seq >= cumulative_seq:
+                break
+            acked.append(seq)
+        for seq in acked:
+            del cache[seq]
 
     def _go_back_n(self, base: int, next_seq: int) -> None:
         trace = self.sim.trace

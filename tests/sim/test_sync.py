@@ -1,8 +1,10 @@
 """Tests for semaphores, timed semaphores and queues."""
 
+import random
+
 import pytest
 
-from repro.sim.scheduler import SimulationError
+from repro.sim.scheduler import AnyOf, Event, SimulationError, Simulator, Timeout
 from repro.sim.sync import Queue, QueueFull, Semaphore, TimedSemaphore
 
 
@@ -149,6 +151,179 @@ class TestTimedSemaphore:
         sim.spawn(coro())
         sim.run()
         assert sem.acquire_count("app") == 3
+
+    def test_reset_between_grant_and_resume(self, sim):
+        # The uncontended grant is counted at acquire time, so a reset
+        # before the waiter resumes clears it; nothing was blocked.
+        sem = TimedSemaphore(sim, 1)
+
+        def coro():
+            waitable = sem.acquire("app")
+            sim.call_soon(sem.reset_stats)
+            yield waitable
+
+        sim.spawn(coro())
+        sim.run()
+        assert sem.acquire_count("app") == 0
+        assert sem.blocked_time("app") == 0.0
+
+
+class _EventTimedSemaphore(TimedSemaphore):
+    """The acquire path without the uncontended fast path, as it was
+    written before: two Events, one closure and one span per acquire."""
+
+    def acquire(self, role="unknown"):
+        token = self._waits.begin(role)
+        inner = Event(self.sim)
+        if self._value > 0 and not self._waiters:
+            self._value -= 1
+            inner.set(None)
+        else:
+            self._waiters.append(inner)
+        outer = Event(self.sim)
+
+        def on_grant(_value):
+            self._waits.end(token)
+            outer.set(None)
+
+        inner._await(on_grant)
+        return outer
+
+    def release(self):
+        if self._waiters:
+            self._waiters.popleft().set(None)
+        else:
+            self._value += 1
+
+
+def _semaphore_trace(sem_cls, seed):
+    """Firing times, blocked times and counts of one random program.
+
+    Times are multiples of 1/8 s so grants, releases, samples and
+    resets collide at the same instants.
+    """
+    rng = random.Random(seed)
+    sim = Simulator()
+    sem = sem_cls(sim, rng.randrange(3))
+    roles = ("application", "protocol")
+    log = []
+
+    def tick():
+        return rng.randrange(4) / 8
+
+    plans = [
+        [(tick(), tick(), rng.random() < 0.2) for _ in range(12)]
+        for _ in range(4)
+    ]
+    samples = [(tick(), rng.random() < 0.4) for _ in range(40)]
+
+    def worker(index, plan):
+        role = roles[index % 2]
+        for hold, pause, reset_before_resume in plan:
+            waitable = sem.acquire(role)
+            if reset_before_resume:
+                sim.call_soon(sem.reset_stats)
+            yield waitable
+            log.append((sim.now, index, sem.blocked_time(role),
+                        sem.acquire_count(role)))
+            if hold:
+                yield Timeout(sim, hold)
+            sem.release()
+            if pause:
+                yield Timeout(sim, pause)
+
+    def sampler():
+        for delay, reset in samples:
+            yield Timeout(sim, delay)
+            log.append((sim.now, "sample") + tuple(
+                (sem.blocked_time(role), sem.acquire_count(role))
+                for role in roles
+            ))
+            if reset:
+                sem.reset_stats()
+
+    for index, plan in enumerate(plans):
+        sim.spawn(worker(index, plan))
+    sim.spawn(sampler())
+    sim.run()
+    return log
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fast_path_keeps_blocked_time_and_counts(seed):
+    # Uncontended and contended acquires, resets at grant instants:
+    # every resume time, blocked time and acquire count is exactly the
+    # one the Event-based acquire gives.
+    assert _semaphore_trace(TimedSemaphore, seed) == \
+        _semaphore_trace(_EventTimedSemaphore, seed)
+
+
+class TestInterruptedWaiters:
+    """A waiter that stops waiting leaves the FIFO at once."""
+
+    def _park_and_interrupt(self, sim, waitable_factory):
+        def coro():
+            yield waitable_factory()
+
+        proc = sim.spawn(coro())
+        sim.call_at(1.0, proc.interrupt)
+        sim.run(until=1.5)
+        assert not proc.alive
+        return proc
+
+    def test_timed_semaphore_unit_and_span(self, sim):
+        sem = TimedSemaphore(sim, 0)
+        self._park_and_interrupt(sim, lambda: sem.acquire("app"))
+        assert sem.waiting == 0
+        sim.call_at(2.0, sem.release)
+        sim.run(until=2.0)
+        # Blocked from 0 to the interrupt at 1, not until the release.
+        assert sem.blocked_time("app") == 1.0
+        assert sem.try_acquire()
+
+    def test_semaphore_unit_goes_to_next_waiter(self, sim):
+        sem = Semaphore(sim, 0)
+        self._park_and_interrupt(sim, sem.acquire)
+        got = []
+
+        def second():
+            yield sem.acquire()
+            got.append(sim.now)
+
+        sim.spawn(second())
+        sim.call_at(2.0, sem.release)
+        sim.run()
+        assert got == [2.0]
+        assert sem.value == 0
+
+    def test_semaphore_anyof_loss_withdraws(self, sim):
+        sem = TimedSemaphore(sim, 0)
+
+        def coro():
+            index, _ = yield AnyOf(sim, [sem.acquire("app"), Timeout(sim, 1.0)])
+            return index
+
+        proc = sim.spawn(coro())
+        sim.run()
+        assert proc.finished.value == 1
+        assert sem.waiting == 0
+        assert sem.blocked_time("app") == 1.0
+        sem.release()
+        assert sem.value == 1
+
+    def test_queue_get_item_stays_queued(self, sim):
+        q = Queue(sim)
+        self._park_and_interrupt(sim, q.get)
+        q.put_nowait("x")
+        assert len(q) == 1
+        assert q.get_nowait() == "x"
+
+    def test_queue_put_item_never_enqueued(self, sim):
+        q = Queue(sim, capacity=1)
+        q.put_nowait("first")
+        self._park_and_interrupt(sim, lambda: q.put("withdrawn"))
+        assert q.get_nowait() == "first"
+        assert len(q) == 0
 
 
 class TestQueue:

@@ -16,7 +16,9 @@ The reference model implements the documented pre-wheel semantics:
 - ``reschedule()`` supersedes: only the latest arming of a handle
   fires, with a fresh seq drawn at reschedule time;
 - callbacks may schedule/cancel/reschedule during dispatch, including
-  at the current instant.
+  at the current instant;
+- ``call_soon(fn)`` is a push at ``(now, 0, seq)``: the ready queue
+  that serves it must fire exactly where such an entry would.
 """
 
 from __future__ import annotations
@@ -47,6 +49,31 @@ class _RefKernel:
 
     def cancel(self, handle):
         handle.live = False
+
+    def call_soon(self, fn):
+        self.push(_RefHandle(fn), self.now)
+
+    def _live(self):
+        return [e for e in self._entries if e[4].live and e[3] == e[4].gen]
+
+    @property
+    def pending_events(self):
+        return len(self._live())
+
+    def next_event_time(self):
+        live = self._live()
+        return min(live)[0] if live else None
+
+    def step(self):
+        live = self._live()
+        if not live:
+            return False
+        entry = min(live)
+        self._entries.remove(entry)
+        self.now = entry[0]
+        entry[4].live = False
+        entry[4].fn()
+        return True
 
     def run(self, until):
         while True:
@@ -259,3 +286,138 @@ def test_same_instant_batch_priority_and_fifo_order():
     sim.call_at(0.5, lambda: fired.append("b1"), priority=1)
     sim.run(until=1.0)
     assert fired == ["a0", "a1", "b0", "b1"]
+
+
+def _ready_queue_program(seed: int):
+    """Pre-drawn ops for one ready-queue fuzz run (shared by both kernels).
+
+    ``plans[i]`` runs when handle ``i`` fires, ``soon_plans[k]`` when
+    same-instant callback ``k`` runs; ``windows`` are the
+    ``(until, ops between windows)`` steps of the outer driver.
+    """
+    rng = random.Random(seed)
+    n_handles, n_soon = 48, 48
+
+    def op():
+        kind = rng.choice(["push", "push", "soon", "soon", "cancel"])
+        if kind == "push":
+            # 0.0 re-arms at now; the bucket width lands in the next
+            # bucket; the others cross the wheel and the overflow heap.
+            delay = rng.choice([0.0, 0.0, 1e-5, 2.0 ** -9, 0.02, 5.0])
+            return ("push", rng.randrange(n_handles), delay)
+        if kind == "soon":
+            return ("soon", rng.randrange(n_soon), None)
+        return ("cancel", rng.randrange(n_handles), None)
+
+    priorities = [rng.choice([-1, 0, 0, 1, 2]) for _ in range(n_handles)]
+    plans = [[op() for _ in range(rng.randrange(3))] for _ in range(n_handles)]
+    soon_plans = [[op() for _ in range(rng.randrange(3))] for _ in range(n_soon)]
+    arm_times = [rng.uniform(0.0, 3.0) for _ in range(n_handles)]
+    windows = []
+    t = 0.0
+    for _ in range(25):
+        # Window ends fall mid-bucket, so the clock is left past the
+        # current bucket between windows.
+        t += rng.choice([1e-4, 0.003, 0.05, 0.4])
+        between = [op() for _ in range(rng.randrange(4))]
+        between += [("step", None, None)] * rng.randrange(3)
+        rng.shuffle(between)
+        windows.append((t, between))
+    return priorities, plans, soon_plans, arm_times, windows
+
+
+def _drive_ready_queue(kernel, make_handle, push, cancel, call_soon, program):
+    priorities, plans, soon_plans, arm_times, windows = program
+    fired = []
+    observed = []
+    budget = {}
+
+    def apply(ops):
+        for kind, target, delay in ops:
+            if kind == "push":
+                push(handles[target], kernel_now() + delay)
+            elif kind == "cancel":
+                cancel(handles[target])
+            elif kind == "soon":
+                call_soon(soon_fns[target])
+            else:
+                observed.append(("step", kernel.step(), kernel_now()))
+
+    def gated(key, ops):
+        # Bounded cascades: every callback re-plans at most 4 times.
+        budget[key] = budget.get(key, 4) - 1
+        if budget[key] >= 0:
+            apply(ops)
+
+    def make_handle_fn(i):
+        def fn():
+            fired.append(("h", i, round(kernel_now(), 12)))
+            gated(("h", i), plans[i])
+        return fn
+
+    def make_soon_fn(k):
+        def fn():
+            fired.append(("s", k, round(kernel_now(), 12)))
+            gated(("s", k), soon_plans[k])
+            observed.append(("in", kernel.pending_events, kernel_now(),
+                             kernel.next_event_time()))
+        return fn
+
+    kernel_now = lambda: kernel.now  # noqa: E731
+    handles = [make_handle(make_handle_fn(i), priorities[i])
+               for i in range(len(priorities))]
+    soon_fns = [make_soon_fn(k) for k in range(len(soon_plans))]
+    for i, when in enumerate(arm_times):
+        push(handles[i], when)
+    for until, between in windows:
+        kernel.run(until)
+        apply(between)
+        observed.append(("between", kernel.pending_events, kernel_now(),
+                         kernel.next_event_time()))
+    kernel.run(60.0)
+    return fired, observed
+
+
+@pytest.mark.parametrize("seed", range(30, 42))
+def test_ready_queue_identical_to_push_at_now(seed):
+    """call_soon from callbacks and between run(until) windows, mixed
+    with priority -1/1/2 entries and handles re-armed at now: same
+    firing sequence, step() results and pending counts as a push at
+    ``(now, 0, seq)``.  ``next_event_time()`` is a lower bound, and
+    inside a dispatch it is exactly ``now`` whenever work for the
+    current instant is pending."""
+    program = _ready_queue_program(seed)
+
+    sim = Simulator()
+    real_fired, real_obs = _drive_ready_queue(
+        sim,
+        lambda fn, priority: TimerHandle(sim, fn, priority),
+        lambda h, when: sim._push(h, when),
+        lambda h: h.cancel(),
+        sim.call_soon,
+        program,
+    )
+    kern = _RefKernel()
+    ref_fired, ref_obs = _drive_ready_queue(
+        kern,
+        lambda fn, priority: _RefHandle(fn, priority),
+        kern.push,
+        kern.cancel,
+        kern.call_soon,
+        program,
+    )
+
+    assert real_fired == ref_fired
+    assert len(real_obs) == len(ref_obs)
+    for real, ref in zip(real_obs, ref_obs):
+        if real[0] == "step":
+            assert real == ref
+            continue
+        where, pending, now, bound = real
+        assert (where, pending, now) == ref[:3]
+        ref_next = ref[3]
+        if ref_next is not None:
+            assert bound <= ref_next
+        if where == "in" and ref_next == now:
+            assert bound == now
+    assert any(kind == "s" for kind, _, _ in real_fired)
